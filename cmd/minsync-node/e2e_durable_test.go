@@ -9,9 +9,29 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
+
+// lockedBuffer is a bytes.Buffer safe to read while os/exec's copier
+// goroutine writes a running child's output into it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
 
 // TestE2EDurableRestart is the live-cluster pin for the durable-storage
 // path: a 4-replica KV cluster where replica 1 runs with -data-dir, a
@@ -137,7 +157,7 @@ func TestE2EDurableRestart(t *testing.T) {
 	procs[0] = nil
 
 	// Restart on the same directory, capturing the boot log.
-	var bootLog bytes.Buffer
+	var bootLog lockedBuffer
 	procs[0] = startReplica(0, &bootLog)
 
 	// The replica must return to its pre-kill applied position.

@@ -138,9 +138,13 @@ type kvEdge struct {
 
 // propose hands a newly-admitted command to the ordering layer: on the
 // node loop, answer from the session cache if the command already
-// applied, otherwise submit it locally and forward it to every peer
+// applied, otherwise forward it to every peer and then submit it locally
 // (recreating the PBFT-style client-broadcast model — a batch only makes
 // progress if every correct replica eventually proposes the command).
+// The order matters: Submit may open a consensus instance at once, and
+// the links are FIFO, so forwarding first means each peer holds the
+// command before our INIT makes it join the instance — the joiners then
+// propose the same canonical batch instead of one without it.
 func (e *kvEdge) propose(c kv.Command, enc types.Value) error {
 	k := txpool.Key{Client: c.Client, Seq: c.Seq}
 	posted := e.node.Post(func() {
@@ -156,17 +160,17 @@ func (e *kvEdge) propose(c kv.Command, enc types.Value) error {
 			}
 			return
 		}
-		if err := (*e.engine).Submit(enc); err != nil {
-			stdlog.Printf("submit: %v", err)
-		}
-		if os.Getenv("MINSYNC_KV_DEBUG") != "" {
-			stdlog.Printf("debug: submitted client=%d seq=%d pending=%d", c.Client, c.Seq, (*e.engine).Pending())
-		}
 		fwd := proto.Message{Kind: proto.MsgKVRequest, Tag: proto.Tag{Mod: proto.ModKV}, Val: enc}
 		for _, peer := range e.peers {
 			if err := e.tr.Send(peer, fwd); err != nil {
 				stdlog.Printf("forward to %v: %v", peer, err)
 			}
+		}
+		if err := (*e.engine).Submit(enc); err != nil {
+			stdlog.Printf("submit: %v", err)
+		}
+		if os.Getenv("MINSYNC_KV_DEBUG") != "" {
+			stdlog.Printf("debug: submitted client=%d seq=%d pending=%d", c.Client, c.Seq, (*e.engine).Pending())
 		}
 	})
 	if !posted {
@@ -236,6 +240,9 @@ func runKVServe(node *rt.Node, tr *netx.Transport, tel *telemetry, self types.Pr
 	store := kv.NewStore()
 	store.SetMetrics(obs.NewKVMetrics(tel.registry(), ""))
 	var engine *log.Engine
+	// Named transfer, not tr: tr is the netx.Transport, and shadowing it
+	// is a trap.
+	var transfer *sm.Transfer
 	var engErr error
 
 	// Durable storage: open (or create) the data directory before the
@@ -384,9 +391,6 @@ func runKVServe(node *rt.Node, tr *netx.Transport, tel *telemetry, self types.Pr
 		}
 		cfg.Engine.TimeUnit = types.Duration(opts.Unit)
 		cfg.Engine.RBMetrics = obs.NewRBMetrics(tel.registry(), "")
-		// Named transfer, not tr: the enclosing function's tr is the
-		// netx.Transport, and shadowing it here is a trap.
-		var transfer *sm.Transfer
 		var lagDump sync.Once
 		cfg.OnDroppedAhead = func(i types.Instance) {
 			if transfer != nil {
@@ -435,8 +439,10 @@ func runKVServe(node *rt.Node, tr *netx.Transport, tel *telemetry, self types.Pr
 		// over TCP: a restarted replica misses its peers' frames for
 		// good (no transport retransmission), so once the cluster has
 		// compacted past it, only fetching a corroborated peer snapshot
-		// can bring it back. The stall probe covers the restart case
-		// where no inbound pressure exists at all.
+		// can bring it back. A paced cluster without clients sends
+		// nothing at all, so the replica asks once at start (Fetch,
+		// below); the stall probe covers a replica that holds work but
+		// stopped advancing.
 		transfer, err = sm.NewTransfer(sm.TransferConfig{
 			Env:        env,
 			Applier:    applier,
@@ -446,8 +452,10 @@ func runKVServe(node *rt.Node, tr *netx.Transport, tel *telemetry, self types.Pr
 			StallProbe: 2 * time.Second,
 			Metrics:    obs.NewTransferMetrics(tel.registry(), ""),
 			OnInstall: func(s sm.Snapshot) {
-				stdlog.Printf("installed peer snapshot: %d entries through instance %v, digest %x…",
-					s.Index, s.Instance, s.Digest[:8])
+				// A catch-up also applies the entries past the snapshot, so
+				// report the position reached, not just the snapshot's.
+				stdlog.Printf("installed peer snapshot: %d entries through instance %v, digest %x… (now at %d entries, instance %v)",
+					s.Index, s.Instance, s.Digest[:8], applier.Applied(), eng.Applied())
 				// An install can satisfy the -kv-target stop rule without
 				// a single local commit (the snapshot IS the prefix).
 				if opts.Target > 0 && applier.Applied() >= opts.Target {
@@ -504,6 +512,11 @@ func runKVServe(node *rt.Node, tr *netx.Transport, tel *telemetry, self types.Pr
 		if err := engine.Start(); err != nil {
 			stdlog.Printf("start: %v", err)
 		}
+		// Boot query: a replica restarted behind an idle cluster sees
+		// no traffic that would reveal the gap, so it asks. A cluster
+		// with nothing newer declines, and the round ends after
+		// sm.TransferStallLimit retries.
+		transfer.Fetch()
 	})
 
 	ln, err := net.Listen("tcp", opts.ClientAddr)

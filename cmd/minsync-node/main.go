@@ -119,7 +119,22 @@ func main() {
 
 	tel := newTelemetry(*metricsF, self, params)
 
-	var node *rt.Node
+	// The node exists before the listener: netx.Listen starts accepting
+	// at once, and a peer's frame can reach Recv before Listen returns.
+	// Its transport is bound right after (sendAdapter.tr); nothing sends
+	// before node.Start, which runs later.
+	out := &sendAdapter{}
+	node, err := rt.NewNode(rt.NodeConfig{
+		ID:        self,
+		Params:    params,
+		Transport: out,
+		Trace:     tel.traceSink(),
+		Metrics:   obs.NewNodeMetrics(tel.registry(), ""),
+	})
+	if err != nil {
+		stdlog.Fatal(err)
+	}
+
 	tr, err := netx.Listen(netx.Config{
 		Self:    self,
 		Addrs:   addrs,
@@ -144,18 +159,8 @@ func main() {
 		stdlog.Fatal(err)
 	}
 	defer tr.Close()
-
-	node, err = rt.NewNode(rt.NodeConfig{
-		ID:        self,
-		Params:    params,
-		Transport: sendAdapter{tr},
-		Trace:     tel.traceSink(),
-		Metrics:   obs.NewNodeMetrics(tel.registry(), ""),
-	})
-	if err != nil {
-		stdlog.Fatal(err)
-	}
 	defer node.Stop()
+	out.tr = tr
 
 	if *kvMode {
 		runKVServe(node, tr, tel, self, kvOptions{
@@ -327,6 +332,6 @@ func runLogMode(node *rt.Node, tr *netx.Transport, tel *telemetry, self types.Pr
 // sendAdapter adapts *netx.Transport to rt.Transport.
 type sendAdapter struct{ tr *netx.Transport }
 
-func (a sendAdapter) Send(to types.ProcID, m proto.Message) error {
+func (a *sendAdapter) Send(to types.ProcID, m proto.Message) error {
 	return a.tr.Send(to, m)
 }

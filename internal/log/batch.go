@@ -20,13 +20,16 @@
 //     decided batch makes progress. Commit deduplication makes overlapping
 //     batches safe.
 //
-//   - Instance starts are symmetric: every process proposes in instances
-//     0..Pipeline−1 at Start, and proposes in instance i+Pipeline exactly
-//     when it APPLIES instance i with the commit target not yet reached.
-//     Because the applied prefix is identical at all correct processes,
-//     they start exactly the same instance set, which is what the per-
-//     instance termination proof needs (all correct processes participate
-//     in every started instance).
+//   - Instance starts are paced by demand, and joined symmetrically: a
+//     process opens the next instance (inside the window of Pipeline
+//     instances past its apply point) when a pending command rides in
+//     none of its undecided batches, or when a peer already opened an
+//     instance inside that window. An instance decides only once n−t
+//     processes propose in it; the second rule gives that to every
+//     instance a correct process opens — its INIT reaches every correct
+//     process, and each joins once the instance falls inside its window —
+//     which is what the per-instance termination proof needs. A process
+//     with no work and no peer traffic opens nothing.
 //
 // This file is the batch codec: how a slice of commands becomes the
 // opaque value a consensus instance decides.

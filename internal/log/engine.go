@@ -37,8 +37,12 @@ type Config struct {
 	Engine core.Config
 	// BatchSize caps the commands per proposed batch (default 16).
 	BatchSize int
-	// Pipeline is the number of instances in flight, W (default 4):
-	// instance i+W starts when instance i is applied.
+	// Pipeline bounds the instances in flight, W (default 4): the engine
+	// opens instance i only while i < applied+W. Slots open on demand,
+	// not eagerly — an instance opens when a pending command rides in
+	// none of this replica's undecided batches, or when a peer already
+	// opened an instance inside the window (see fill) — so an idle
+	// replica runs no instances at all.
 	Pipeline int
 	// MaxLead bounds how far past the local apply point an inbound
 	// message's instance may be before it is dropped (default 256). It
@@ -67,8 +71,10 @@ type Config struct {
 	// Target stops the engine from starting new instances once this many
 	// commands committed (0 = unlimited; use Close). All correct
 	// processes must configure the same Target: the stop rule is a
-	// deterministic function of the applied prefix, which keeps instance
-	// starts symmetric.
+	// deterministic function of the applied prefix, so every correct
+	// replica closes at the same point. Pacing (see Pipeline) already
+	// stops an engine with no work from opening instances; Target only
+	// matters for runs that must stop while peers still send work.
 	Target int
 	// OnCommit, if non-nil, is called for every committed command, in
 	// log order.
@@ -155,6 +161,7 @@ type Engine struct {
 
 	nextStart types.Instance // next instance this process will propose in
 	applied   types.Instance // instances [0, applied) are applied
+	peerMax   types.Instance // highest instance a peer's message opened (-1: none)
 
 	pending    []types.Value // submitted, uncommitted commands (FIFO)
 	pendingSet map[types.Value]struct{}
@@ -222,6 +229,7 @@ func New(cfg Config) (*Engine, error) {
 		pendingSet: make(map[types.Value]struct{}),
 		inFlight:   make(map[types.Value]int),
 		committed:  make(map[types.Value]struct{}),
+		peerMax:    -1,
 	}
 	if cfg.Coalesce {
 		l.relay = rb.NewRelay(rb.RelayConfig{
@@ -244,17 +252,16 @@ func New(cfg Config) (*Engine, error) {
 	return l, nil
 }
 
-// Start opens the pipeline: the engine proposes in instances
-// 0..Pipeline−1. Submit may be called before or after Start; commands
-// submitted before are carried by the initial batches.
+// Start opens the pipeline: from here on the engine proposes in
+// instances as demand appears (see fill). Submit may be called before or
+// after Start; commands submitted before are carried by the first
+// batches, and peer instances that arrived before Start are joined now.
 func (l *Engine) Start() error {
 	if l.running {
 		return fmt.Errorf("log: Start called twice")
 	}
 	l.running = true
-	for w := 0; w < l.cfg.Pipeline; w++ {
-		l.startNext()
-	}
+	l.fill()
 	return l.err
 }
 
@@ -274,6 +281,7 @@ func (l *Engine) Submit(cmd types.Value) error {
 	l.pending = append(l.pending, cmd)
 	l.pendingSet[cmd] = struct{}{}
 	l.cfg.Tracer.OnSubmit(cmd)
+	l.fill()
 	return nil
 }
 
@@ -334,11 +342,23 @@ func (l *Engine) dispatch(from types.ProcID, m proto.Message) {
 		}
 		return
 	}
+	if inst, ok := l.insts[i]; ok {
+		inst.eng.OnMessage(from, m)
+		return
+	}
 	inst := l.getInstance(i)
 	if inst == nil {
 		return
 	}
 	inst.eng.OnMessage(from, m)
+	if i >= l.nextStart {
+		// A peer opened an instance this replica has not: join it (and
+		// every slot below it) once it lies inside the window. An
+		// instance decides only with n−t proposers, so a replica that
+		// opens one relies on every correct peer following suit.
+		l.peerMax = max(l.peerMax, i)
+		l.fill()
+	}
 }
 
 // getInstance lazily builds the consensus engine of instance i. Engines
@@ -394,11 +414,60 @@ func (l *Engine) getInstance(i types.Instance) *instance {
 	return inst
 }
 
+// fill is the pacing rule: it opens instance nextStart while the slot
+// lies inside the window (nextStart < applied+Pipeline) and either
+//
+//	(a) some pending command rides in none of this replica's undecided
+//	    batches, or
+//	(b) a peer already opened an instance in [nextStart, applied+Pipeline).
+//
+// Rule (b) preserves the paper's precondition that an instance decides
+// once n−t processes propose in it: a correct replica that opens an
+// instance reaches every correct peer, and each of them joins. A
+// Byzantine peer can at most force the Pipeline slots open, which is
+// what an always-open pipeline did unconditionally. Without either rule
+// the engine stays idle — no empty instances, no WAL marks for them.
+func (l *Engine) fill() {
+	if l.nextStart < l.applied {
+		// Instances this replica never opened were decided without it
+		// (a passive engine past the window, or n−t peers' quorum).
+		l.nextStart = l.applied
+	}
+	for l.running && !l.closed && l.nextStart < l.applied+types.Instance(l.cfg.Pipeline) &&
+		(l.peerInWindow() || l.hasUnbatched()) {
+		l.startNext()
+	}
+}
+
+// peerInWindow reports whether a peer opened an instance in
+// [nextStart, applied+Pipeline): every engine at or past nextStart was
+// built by a peer's message, since this replica builds its own only at
+// nextStart. A peer instance past the window stays passive until the
+// window slides over it.
+func (l *Engine) peerInWindow() bool {
+	end := min(l.peerMax+1, l.applied+types.Instance(l.cfg.Pipeline))
+	for i := l.nextStart; i < end; i++ {
+		if _, ok := l.insts[i]; ok {
+			return true
+		}
+	}
+	return false
+}
+
+// hasUnbatched reports whether a pending command rides in none of this
+// replica's undecided batches. The scan stops at the first such command,
+// so it costs at most the number of distinct in-flight commands.
+func (l *Engine) hasUnbatched() bool {
+	for _, c := range l.pending {
+		if l.inFlight[c] == 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // startNext proposes in the next instance of the pipeline.
 func (l *Engine) startNext() {
-	if l.closed {
-		return
-	}
 	i := l.nextStart
 	l.nextStart++
 	inst := l.getInstance(i)
@@ -544,7 +613,7 @@ func (l *Engine) tryApply() {
 		if l.cfg.Target > 0 && l.Committed() >= l.cfg.Target {
 			l.closed = true
 		}
-		l.startNext()
+		l.fill()
 	}
 }
 
@@ -642,10 +711,11 @@ func (l *Engine) Compact(floor types.Instance) int {
 // compaction instant, which trims it — is byte-for-byte the function of
 // the committed prefix it is on every other correct replica.
 //
-// After the jump the pipeline restarts at the boundary: nextStart moves
-// to max(nextStart, boundary) and proposals refill the window, so the
-// replica resumes proposing symmetrically with the cluster. Buffered
-// decisions at or past the boundary then apply normally via tryApply.
+// After the jump the pipeline restarts at the boundary: the window
+// refills on demand from there (fill), and peer instances already seen
+// past the boundary are joined at once.
+// Buffered decisions at or past the boundary then apply normally via
+// tryApply.
 //
 // Errors: boundary must exceed the current apply point (stale snapshots
 // are the caller's problem to filter), index must not run behind the
@@ -743,12 +813,7 @@ func (l *Engine) InstallSnapshot(boundary types.Instance, index int, retained []
 	if l.relay != nil {
 		l.relay.RetireInstancesBefore(l.floor)
 	}
-	if l.nextStart < boundary {
-		l.nextStart = boundary
-	}
-	for !l.closed && l.nextStart < l.applied+types.Instance(l.cfg.Pipeline) {
-		l.startNext()
-	}
+	l.fill()
 	l.tryApply()
 	return nil
 }
@@ -879,6 +944,14 @@ func (l *Engine) Installs() int { return l.installs }
 
 // Closed reports whether the engine stopped starting new instances.
 func (l *Engine) Closed() bool { return l.closed }
+
+// Waiting reports whether the engine holds work past its apply point: an
+// instance it opened that has not applied yet, a peer instance at or past
+// the apply point, or pending commands. An engine that is not waiting is
+// idle, and a frozen apply point then means nothing is owed to it.
+func (l *Engine) Waiting() bool {
+	return l.nextStart > l.applied || l.peerMax >= l.applied || len(l.pending) > 0
+}
 
 // Err returns the first internal construction error, if any.
 func (l *Engine) Err() error { return l.err }

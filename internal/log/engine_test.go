@@ -48,6 +48,15 @@ func newTestEngine(t *testing.T, cfg Config) (*Engine, *stubEnv) {
 	return eng, env
 }
 
+// peerOpens delivers peer 2's INIT for instance i: pacing rule (b), which
+// makes the engine propose in every window slot up to i.
+func peerOpens(eng *Engine, i types.Instance) {
+	eng.OnMessage(2, proto.Message{
+		Kind: proto.MsgRBInit, Tag: proto.Tag{Mod: proto.ModConsCB0},
+		Instance: i, Origin: 2, Val: EncodeBatch(nil),
+	})
+}
+
 func TestSubmitIdempotent(t *testing.T) {
 	eng, _ := newTestEngine(t, Config{})
 	if err := eng.Submit("a"); err != nil {
@@ -78,10 +87,15 @@ func TestStartTwice(t *testing.T) {
 	}
 }
 
+// TestStartOpensPipelineInstances pins the burst cap: with more unbatched
+// work than one batch holds, Start fills the window — and never more
+// than Pipeline slots.
 func TestStartOpensPipelineInstances(t *testing.T) {
-	eng, env := newTestEngine(t, Config{Pipeline: 3})
-	if err := eng.Submit("a"); err != nil {
-		t.Fatal(err)
+	eng, env := newTestEngine(t, Config{Pipeline: 3, BatchSize: 2})
+	for i := 0; i < 10; i++ {
+		if err := eng.Submit(types.Value(string(rune('a' + i)))); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
@@ -100,8 +114,18 @@ func TestStartOpensPipelineInstances(t *testing.T) {
 	if len(seen) != 3 {
 		t.Fatalf("traffic on %d instances, want 3", len(seen))
 	}
+	// More work while the window is full opens nothing.
+	if err := eng.Submit("z"); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Instances() != 3 {
+		t.Fatalf("a full window opened instance %d", eng.Instances())
+	}
 }
 
+// TestInFlightCommandsNotReProposed pins rule (a) of the pacing: once
+// every pending command rides in an undecided batch, no further slot
+// opens to re-propose them (or to propose an empty batch).
 func TestInFlightCommandsNotReProposed(t *testing.T) {
 	eng, _ := newTestEngine(t, Config{Pipeline: 2, BatchSize: 8})
 	for _, c := range []types.Value{"a", "b"} {
@@ -112,14 +136,135 @@ func TestInFlightCommandsNotReProposed(t *testing.T) {
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// Instance 0's batch carries a and b; instance 1 must not re-propose
-	// them while 0 is undecided.
-	i0, i1 := eng.insts[0], eng.insts[1]
-	if len(i0.ownBatch) != 2 {
+	if eng.Instances() != 1 {
+		t.Fatalf("two in-flight commands opened %d instances, want 1", eng.Instances())
+	}
+	if i0 := eng.insts[0]; len(i0.ownBatch) != 2 {
 		t.Fatalf("instance 0 batch: %q", i0.ownBatch)
 	}
-	if len(i1.ownBatch) != 0 {
-		t.Fatalf("instance 1 re-proposed in-flight commands: %q", i1.ownBatch)
+	// Re-submitting an in-flight command is a no-op, not demand.
+	if err := eng.Submit("a"); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Instances() != 1 {
+		t.Fatalf("duplicate submit opened instance %d", eng.Instances())
+	}
+	// A ⊥ decision returns a and b to the queue: they ride nowhere now,
+	// so the next slot opens and carries them again.
+	eng.onInstanceDecided(0, types.BotValue)
+	if eng.Applied() != 1 || eng.Instances() != 2 {
+		t.Fatalf("after ⊥: applied=%v instances=%d, want 1 and 2", eng.Applied(), eng.Instances())
+	}
+	if i1 := eng.insts[1]; len(i1.ownBatch) != 2 {
+		t.Fatalf("instance 1 batch after ⊥: %q", i1.ownBatch)
+	}
+}
+
+func TestIdleEngineOpensNothing(t *testing.T) {
+	eng, env := newTestEngine(t, Config{Pipeline: 4})
+	if err := eng.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Instances() != 0 || len(env.sent) != 0 {
+		t.Fatalf("idle engine opened %d instances, sent %d messages", eng.Instances(), len(env.sent))
+	}
+	if eng.Waiting() {
+		t.Fatal("idle engine reports waiting work")
+	}
+	// Applying a decision does not reopen the window on its own either.
+	if err := eng.Submit("a"); err != nil {
+		t.Fatal(err)
+	}
+	eng.onInstanceDecided(0, EncodeBatch([]types.Value{"a"}))
+	if eng.Applied() != 1 || eng.Instances() != 1 || eng.Waiting() {
+		t.Fatalf("drained engine: applied=%v instances=%d waiting=%v", eng.Applied(), eng.Instances(), eng.Waiting())
+	}
+}
+
+func TestSubmitOpensOneSlot(t *testing.T) {
+	eng, _ := newTestEngine(t, Config{Pipeline: 4})
+	if err := eng.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Submit("a"); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Instances() != 1 {
+		t.Fatalf("one command opened %d instances, want 1", eng.Instances())
+	}
+	if got := eng.insts[0].ownBatch; len(got) != 1 || got[0] != "a" {
+		t.Fatalf("instance 0 batch: %q", got)
+	}
+	if !eng.Waiting() {
+		t.Fatal("engine with an open instance reports no waiting work")
+	}
+	// A second command rides in no batch yet: it takes the next slot.
+	if err := eng.Submit("b"); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Instances() != 2 {
+		t.Fatalf("second command: %d instances, want 2", eng.Instances())
+	}
+}
+
+func TestPeerMessageOpensSlotsUpToIt(t *testing.T) {
+	eng, env := newTestEngine(t, Config{Pipeline: 4})
+	if err := eng.Start(); err != nil {
+		t.Fatal(err)
+	}
+	eng.OnMessage(2, proto.Message{
+		Kind: proto.MsgRBInit, Tag: proto.Tag{Mod: proto.ModConsCB0},
+		Instance: 2, Origin: 2, Val: EncodeBatch(nil),
+	})
+	// Instances 0..2 are proposed in (the peer's instance 2 decides only
+	// after 0 and 1 apply, so they must run too); 3 stays closed.
+	for i := types.Instance(0); i <= 2; i++ {
+		if inst := eng.insts[i]; inst == nil || !inst.proposed {
+			t.Fatalf("instance %v not proposed in after a peer opened 2", i)
+		}
+	}
+	if _, ok := eng.insts[3]; ok {
+		t.Fatal("instance 3 opened without demand")
+	}
+	for _, m := range env.sent {
+		if m.Instance > 2 {
+			t.Fatalf("traffic on instance %v", m.Instance)
+		}
+	}
+}
+
+func TestPeerMessagePastWindowIsPassive(t *testing.T) {
+	eng, env := newTestEngine(t, Config{Pipeline: 2, MaxLead: 16})
+	if err := eng.Start(); err != nil {
+		t.Fatal(err)
+	}
+	eng.OnMessage(2, proto.Message{
+		Kind: proto.MsgRBInit, Tag: proto.Tag{Mod: proto.ModConsCB0},
+		Instance: 5, Origin: 2, Val: EncodeBatch(nil),
+	})
+	if eng.Instances() != 1 || eng.insts[5] == nil || eng.insts[5].proposed {
+		t.Fatalf("instance past the window: instances=%d", eng.Instances())
+	}
+	for _, m := range env.sent {
+		if m.Kind == proto.MsgRBInit && m.Origin == 1 {
+			t.Fatalf("engine proposed (instance %v) for an instance past its window", m.Instance)
+		}
+	}
+	if !eng.Waiting() {
+		t.Fatal("a peer instance ahead must count as waiting work")
+	}
+	// Once the window slides over it, the engine joins it and every
+	// slot below it.
+	for i := types.Instance(0); i < 4; i++ {
+		eng.onInstanceDecided(i, types.BotValue)
+	}
+	for i := types.Instance(4); i <= 5; i++ {
+		if inst := eng.insts[i]; inst == nil || !inst.proposed {
+			t.Fatalf("instance %v not joined after the window reached 5", i)
+		}
+	}
+	if _, ok := eng.insts[6]; ok {
+		t.Fatal("instance 6 opened without demand")
 	}
 }
 
@@ -140,6 +285,9 @@ func TestBatchSizeCap(t *testing.T) {
 
 func TestMaxLeadGuard(t *testing.T) {
 	eng, _ := newTestEngine(t, Config{Pipeline: 1, MaxLead: 8})
+	if err := eng.Submit("a"); err != nil {
+		t.Fatal(err)
+	}
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -218,13 +366,18 @@ func TestCoalescedEngineWindowGuardsRelayState(t *testing.T) {
 }
 
 func TestCloseStopsNewInstances(t *testing.T) {
-	eng, _ := newTestEngine(t, Config{Pipeline: 2})
+	eng, _ := newTestEngine(t, Config{Pipeline: 2, BatchSize: 1})
+	for _, c := range []types.Value{"a", "b", "c"} {
+		if err := eng.Submit(c); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
 	eng.Close()
-	// Deciding instance 0 would normally start instance 2.
-	eng.onInstanceDecided(0, EncodeBatch(nil))
+	// Deciding instance 0 would normally start instance 2 for "c".
+	eng.onInstanceDecided(0, EncodeBatch([]types.Value{"a"}))
 	if eng.Instances() != 2 {
 		t.Fatalf("closed engine opened a new instance (insts=%d)", eng.Instances())
 	}
@@ -329,6 +482,7 @@ func TestCompactRetiresWholesale(t *testing.T) {
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
+	peerOpens(eng, 3)
 	eng.onInstanceDecided(0, EncodeBatch([]types.Value{"a", "b"}))
 	eng.onInstanceDecided(1, EncodeBatch([]types.Value{"c"}))
 	eng.onInstanceDecided(2, EncodeBatch([]types.Value{"d"}))
@@ -382,6 +536,7 @@ func TestCompactDropsRetiredInstanceTraffic(t *testing.T) {
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
+	peerOpens(eng, 1)
 	eng.onInstanceDecided(0, EncodeBatch([]types.Value{"a"}))
 	eng.Compact(1)
 	m := proto.Message{
@@ -431,6 +586,7 @@ func TestAutoCompactLag(t *testing.T) {
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
+	peerOpens(eng, 7)
 	for i := types.Instance(0); i < 6; i++ {
 		eng.onInstanceDecided(i, EncodeBatch([]types.Value{types.Value("c" + i.String())}))
 	}
@@ -531,8 +687,13 @@ func TestInstallSnapshotJumpsAndSeeds(t *testing.T) {
 	if got := eng.EntriesBase(); got != 3 {
 		t.Fatalf("entriesBase=%d, want 3", got)
 	}
-	// The pipeline reopened at the boundary.
-	if eng.insts[10] == nil || eng.insts[11] == nil {
+	// The pipeline resumes at the boundary on demand: nothing is pending
+	// after the install, so only a peer's instance reopens it.
+	if eng.Instances() != 0 {
+		t.Fatalf("install opened %d instances without demand", eng.Instances())
+	}
+	peerOpens(eng, 11)
+	if eng.insts[10] == nil || !eng.insts[10].proposed || eng.insts[11] == nil || !eng.insts[11].proposed {
 		t.Fatal("pipeline not reopened at boundary")
 	}
 	// Dedup was seeded: a batch re-deciding "a" and "b" commits nothing,
@@ -557,6 +718,7 @@ func TestInstallSnapshotHaltsRetiredInstances(t *testing.T) {
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
+	peerOpens(eng, 1)
 	i0 := eng.Instance(0)
 	if err := eng.InstallSnapshot(6, 3, nil); err != nil {
 		t.Fatal(err)

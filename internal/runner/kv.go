@@ -226,17 +226,20 @@ func (r *KVResult) SnapshotsAgree() bool {
 // through a fresh single-node store and compares digests with the live
 // replicated state: any difference means the applier path diverged from
 // the sequential semantics. Returns "" when they match. The reference is
-// the first correct process with a FULL history (first entry at index
-// 0): a replica that joined via snapshot transfer holds only a suffix
-// locally and cannot be replayed from scratch — if no full-history
-// replica exists the check is vacuous.
+// the first correct process with a FULL history — it committed every
+// entry its state reflects, from index 0 on: a replica that joined via
+// snapshot transfer holds only a suffix locally, and one that committed a
+// prefix, crash-restarted and then transferred holds entries that stop
+// short of its state — neither can be replayed from scratch. If no
+// full-history replica exists the check is vacuous.
 func (r *KVResult) ReferenceDivergence() string {
 	if len(r.Correct) == 0 {
 		return "no correct processes"
 	}
 	ref := types.NoProc
 	for _, id := range r.Correct {
-		if lg := r.Logs[id]; len(lg) > 0 && lg[0].Index == 0 {
+		lg, app := r.Logs[id], r.Appliers[id]
+		if len(lg) > 0 && lg[0].Index == 0 && app != nil && lg[len(lg)-1].Index == app.Applied()-1 {
 			ref = id
 			break
 		}

@@ -21,6 +21,12 @@ import "testing"
 // format, not the kernel. The rb-coalesce rows pin the coalesced relay
 // path (vector frames, hash indirection, pull resolution) under the
 // same contract.
+//
+// Log and KV rows were re-recorded once more when the log engine became
+// demand-paced (an instance opens only for unbatched pending commands or
+// to join a peer's instance): every row whose schedule held an instance
+// opened without work moved. The single-shot rows, which never run the
+// log engine, are byte-identical across that change.
 func TestGoldenDigests(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -37,17 +43,17 @@ func TestGoldenDigests(t *testing.T) {
 		{"bisource-splitter", 1, "0ea09dea1d367ffeea402a135044afd3bfe208c8f9c68d18af98b3a90223ac4b"},
 		{"partition-heal", 7, "7a23e5f065fc3add623eac9fbe70fc4c677d2742dd9684bfb19f1f88ec726303"},
 		{"botmode-many-values", 1, "d8401c45cef010c6630dab49c3f8d78658ce9d0ac956ed24d478c04ebcf93aad"},
-		{"log-baseline", 1, "6d44be8969bff76531ed8d17e037e07aaa9ee74115638d606cea4f949672b99a"},
-		{"log-deep-pipeline", 7, "f48e8511f1d8229ba05d33c4edc0ac48fb4ff45b8892724a1c2700052724814c"},
+		{"log-baseline", 1, "9521137f205719d1267ada7b2ef3fb00417a885fda491e88ef8708c9585f0f71"},
+		{"log-deep-pipeline", 7, "b2ad046d0c5a44324a2618686df3d576c3ebe20ca508560df6d7a71b0468fa0f"},
 		// KV-service rows, recorded when the state-machine layer landed.
 		// Their digests additionally cover per-replica state digests and
 		// the snapshot log (see runKV), so session semantics, snapshot
 		// determinism and compaction scheduling are all pinned here.
-		{"kv-mixed", 1, "3c737dbcb85e7d576fcafa46023c1bdecf9ce9f8976bf1fd1419f5da7dab0c89"},
-		{"kv-sessions", 1, "eb01e0812de756889e67b9397245926db08db7fc4f9fe28e0d156d53ae38864b"},
-		{"kv-sessions", 7, "4b0145abdf367018b2553d4719ce4377e0d19aebc736c7833d3f68eef047be81"},
-		{"kv-snapshot-recover", 1, "08504c2e088d764054f74b4827131483d25c7bcc2702726c6734b40fb54803b1"},
-		{"kv-long-compaction", 7, "cfdf67a1a026e02e2941b7c3a7a9d6a81ee36d5eb4c126eaa937b456ed75a002"},
+		{"kv-mixed", 1, "1a454948cc4ab0e915fa3982282ac47972ba669430477aadb1bf82fb6c1d1c8e"},
+		{"kv-sessions", 1, "72d306649ab14f0c35660a8ae269d47f2014d3eb56b99f116bb453410d2a8074"},
+		{"kv-sessions", 7, "63fc92f120dcd65e49f81d72b7ab3555db6508c58b10b029f62f024fd72053df"},
+		{"kv-snapshot-recover", 1, "b3ee2dc7cc335be0af413a8f2cbaadf4a87f91d3c121d34a8991029805b2bf9c"},
+		{"kv-long-compaction", 7, "a9b48d34d5e527ad368975486b4006d7206bbf8fe6e000207a6547fedf401bf4"},
 		// Snapshot-state-transfer rows, recorded when the transfer
 		// subsystem landed. Their digests additionally cover the
 		// SNAP_REQ/SNAP_RESP traffic, the stall-probe schedule and the
@@ -55,9 +61,9 @@ func TestGoldenDigests(t *testing.T) {
 		// schedule is pinned here. All pre-transfer rows above are
 		// byte-identical to their previous recordings (transfer only
 		// activates where it is enabled).
-		{"kv-lag-transfer", 1, "43e1bbc3156e7ac616aba255629d1b6e5f87d795538fc1f9704e4cd75b04e20a"},
-		{"kv-lag-transfer", 7, "efc6fd64aa14be1b3dd0ff0baf2a22d7763de63bb84094f6a15213c63fc4c3b9"},
-		{"kv-lag-transfer-n7", 1, "979e9fe24460a7e47394c685805e9bb9136a664f94c7983c9f5260b2668d65d6"},
+		{"kv-lag-transfer", 1, "6e6d82f862c8a1f449a712b341bf455bd7c93f1ca198893088650e2b9801821c"},
+		{"kv-lag-transfer", 7, "63f609e8c6156d1dc5341b39da5dfd7c987a6e96ccdfe0f2ba17834e8e2cd623"},
+		{"kv-lag-transfer-n7", 1, "2b225e87f9ff7883662c9bff20a8a6edafd76fa33f38caf0e621550b1b68c9e3"},
 		// Coalesced-relay rows, recorded when the echo/ready coalescing
 		// subsystem landed. Coalescing stays OFF in every row above —
 		// those schedules never see a vector frame — so these four rows
@@ -65,9 +71,9 @@ func TestGoldenDigests(t *testing.T) {
 		// alignment, vector encode order, hash parking and the pull
 		// exchange, including one cell under the hash-equivocation
 		// adversary.
-		{"rb-coalesce-async", 1, "14e0c1bcbd1e40cd18118d4035b41fbfd4250e3027d3a2bcf640a985878cb18f"},
+		{"rb-coalesce-async", 1, "b71560cb3851b60dc9266ff9595481c22874b615998e3dc8ee0cce0eba1792fb"},
 		{"rb-coalesce-bisource", 7, "755808ca2688552467213d93c496e0c8b8b97eabfa7a79acfcb4c2bed6a12373"},
-		{"rb-coalesce-partition", 1, "61348fd9d5bb5d12bf32fbb6a249ad7bc910b7b9f09b45c37a66be11793cf685"},
+		{"rb-coalesce-partition", 1, "3a2d1d5ee555ea231aba2bdd965eef05fe76282f7da925c28e0a8b9a5ed5b075"},
 		{"rb-coalesce-hashspam", 1, "fe4a9c2de791b82add0f4f807c3fdef8826d901f1fa49c64de730c12f4890fad"},
 		// Durable-storage rows, recorded when the persistence subsystem
 		// landed. The crash-restart rows pin the full power-cycle
@@ -76,11 +82,17 @@ func TestGoldenDigests(t *testing.T) {
 		// chunk-loss row pins the chunked transfer protocol end to end —
 		// manifest corroboration, windowed range requests, the stalled-
 		// download abandon path and re-corroboration under frame loss.
-		{"kv-crash-restart", 1, "85ebedb10732bf7add462ebd6edec2cf2eb1765ea3a354a9c9d7dc71fe6b0917"},
-		{"kv-crash-restart", 7, "8fc060e9a893105ef923e4c8092c9d09659bbc7fd8a91ee682f0910ceb5df3fb"},
-		{"kv-crash-restart-n7", 1, "1b1538fed0c4bf68c8e6737a8983ac4feeeeea56b45ca0a629842a31de7ac13d"},
-		{"transfer-chunk-loss", 1, "d1708cb4c77de3747c3991a38de5174280b32b2e121e50facbea3028c55bf453"},
-		{"transfer-chunk-loss", 7, "0971585bcbe60becaa9fe3f239fc8d77338b84610e09c9ca2faba2adc000bdfc"},
+		{"kv-crash-restart", 1, "75068f28f42951c21076ab09caf70f70d48bd35def4e9467f952d4f9f8f249b2"},
+		{"kv-crash-restart", 7, "e9cc3b8fcb9608a6b1872f73b2b771a8eb45d821c904bf647baf156f62b45319"},
+		{"kv-crash-restart-n7", 1, "8d823d221640237f3fae9dac656ec86be005db6a7b5977e8d8e1066c95714ab0"},
+		{"transfer-chunk-loss", 1, "dc6339485356caf05724920dcc9a6fa3e428d5aabf765f5feb03958df9a3477b"},
+		{"transfer-chunk-loss", 7, "4742b829b67c05e7b8b038787fde5664249f0fd0432aa50b20f69666b2212455"},
+		// Quiet-rejoin rows, recorded when the log engine became demand-
+		// paced: a crash-restarted replica reboots behind a drained
+		// cluster that runs no instances, notices the gap through its own
+		// re-submitted work, and converges through a snapshot transfer.
+		{"kv-quiet-rejoin", 1, "57ad29156c4203b7cf80027954f310c22b5f9136340289326adced8d40d4a8ad"},
+		{"kv-quiet-rejoin", 7, "e53af9c79d94587cab2d6b795d7d3c104d301d198a410af2d040b7eb06568e9c"},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -436,6 +436,25 @@ var registry = []Spec{
 		},
 		ExpectTermination: true,
 	},
+	// The quiet variant: the victim stays dark until the rest of the
+	// cluster has ordered the whole workload, compacted and gone quiet —
+	// a paced cluster with nothing to order runs no instances, so no
+	// traffic tells the rebooted replica it is behind. Its re-submitted
+	// workload gives it work that cannot advance, the stall probe asks
+	// for a snapshot, and it converges on the cluster's final state.
+	{
+		Name: "kv-quiet-rejoin", Desc: "n=4 durable KV: replica reboots behind a drained, quiet cluster and converges via snapshot transfer",
+		N: 4, T: 1, M: 1,
+		Net: Net{Kind: NetFull, Delta: 2 * time.Millisecond},
+		Work: Work{
+			Kind: WorkKV, Commands: 48,
+			SubmitEvery:   time.Millisecond,
+			SnapshotEvery: 1, Compact: true, CompactKeep: 1,
+			Durable: true, CrashRestartAt: 40 * time.Millisecond, RestartDelay: 400 * time.Millisecond,
+			Transfer: true, QuietRejoin: true,
+		},
+		ExpectTermination: true,
+	},
 }
 
 // bisrc is a registry-literal helper for explicit bisource placement

@@ -538,7 +538,7 @@ func (p *Prepared) kvRunnerSpec(seed int64) (runner.KVSpec, error) {
 		}
 		spec.RestartDelay = types.Duration(w.RestartDelay)
 	}
-	if w.Transfer && w.CrashRestartAt <= 0 {
+	if w.Transfer && (w.CrashRestartAt <= 0 || w.QuietRejoin) {
 		// Entry-count stop rule: the default distinct-coverage rule could
 		// never close a transferred replica (it skips the pre-boundary
 		// prefix and so never "covers" those commands itself). The
@@ -554,7 +554,10 @@ func (p *Prepared) kvRunnerSpec(seed int64) (runner.KVSpec, error) {
 		// and keeps committing the suffix itself, so the distinct-coverage
 		// rule works, and an entry count would be wrong anyway (the reboot
 		// re-submits the workload, and a duplicate whose dedup record was
-		// compacted away can legitimately commit twice).
+		// compacted away can legitimately commit twice). QuietRejoin is
+		// the exception: the victim reboots after every peer closed, so
+		// nothing it re-submits can commit again, and only the entry count
+		// closes it after it installs the cluster's final snapshot.
 		spec.Target = len(p.kvCmds)
 	}
 	if w.RecoverAt > 0 {
@@ -661,7 +664,15 @@ func runKV(p *Prepared, seed int64, reg *obs.Registry, tr *runner.TraceSpec) (*O
 		} else if st.Boundary <= 0 {
 			report.Violatef("KV-CrashRestart: reboot recovered nothing from the durable store (boundary %v)", st.Boundary)
 		}
-		if w.Transfer && s.ExpectTermination {
+		if w.Transfer && s.ExpectTermination && w.QuietRejoin {
+			// A quiet cluster compacted away what the victim missed: only
+			// a snapshot transfer can close the gap (convergence itself
+			// is the kv-transfer check below).
+			report.Observe("kv-quiet-rejoin")
+			if res.Transfers[victim] == 0 {
+				report.Violatef("KV-QuietRejoin: rebooted replica %v installed no peer snapshot", victim)
+			}
+		} else if w.Transfer && s.ExpectTermination {
 			if n := res.Transfers[victim]; n != 0 {
 				report.Violatef("KV-CrashRestart: rebooted replica installed %d peer snapshots — reconvergence was not disk-local", n)
 			}
@@ -684,7 +695,8 @@ func runKV(p *Prepared, seed int64, reg *obs.Registry, tr *runner.TraceSpec) (*O
 			report.Violatef("KV-ChunkLoss: no chunk frame was ever dropped — the scenario exercised no loss recovery")
 		}
 	}
-	if w.Transfer && s.ExpectTermination && w.CrashRestartAt <= 0 {
+	transferRun := w.Transfer && (w.CrashRestartAt <= 0 || w.QuietRejoin)
+	if transferRun && s.ExpectTermination {
 		// The transfer properties: some replica actually crossed the
 		// replay horizon (DroppedAhead pressure — replay was impossible,
 		// not merely slow), recovered through a peer snapshot install,
@@ -692,8 +704,10 @@ func runKV(p *Prepared, seed int64, reg *obs.Registry, tr *runner.TraceSpec) (*O
 		// with the SAME state digest. The last clause is strictly stronger
 		// than KV-StateAgreement, which compares digests only at equal
 		// counts and so passes vacuously for a replica stuck behind.
-		// Skipped under CrashRestartAt, where the armed transfer layer
-		// must stay idle (see kv-crash-restart above).
+		// Skipped under a plain CrashRestartAt, where the armed transfer
+		// layer must stay idle (see kv-crash-restart above). A quiet
+		// rejoin sees no pressure by design — the drained cluster sends
+		// nothing — so the horizon clause does not apply to it.
 		report.Observe("kv-transfer")
 		installs, pressure := 0, false
 		for _, id := range res.Correct {
@@ -705,7 +719,7 @@ func runKV(p *Prepared, seed int64, reg *obs.Registry, tr *runner.TraceSpec) (*O
 		if installs == 0 {
 			report.Violatef("KV-Transfer: no replica installed a peer snapshot")
 		}
-		if !pressure {
+		if !pressure && !w.QuietRejoin {
 			report.Violatef("KV-Transfer: no replica ever crossed the replay horizon (MaxLead)")
 		}
 		ref := res.Correct[0]
@@ -724,7 +738,7 @@ func runKV(p *Prepared, seed int64, reg *obs.Registry, tr *runner.TraceSpec) (*O
 		// Coverage, not raw entry counts: under compaction a forgotten
 		// duplicate can legitimately commit twice, so entry counts can
 		// both overshoot and (by closing engines early) undershoot.
-		if w.Transfer && w.CrashRestartAt <= 0 {
+		if transferRun {
 			// A transferred replica adopts the skipped prefix as STATE,
 			// not as commits, so its own coverage undercounts by design.
 			// Termination here means the cluster committed every distinct

@@ -303,6 +303,17 @@ type Work struct {
 	// needs zero peer snapshot transfers — which is exactly what the
 	// KV-CrashRestart check asserts.
 	RestartDelay time.Duration
+	// QuietRejoin makes the crash-restart victim rejoin a drained
+	// cluster: RestartDelay outlasts the workload, so the other replicas
+	// have committed everything and gone quiet — a paced cluster then
+	// runs no instances at all — by the time the victim reboots.
+	// Compaction has retired the instances it missed, so its disk alone
+	// cannot bring it back; it must notice the gap with work outstanding
+	// (the re-submitted workload) and converge through a snapshot
+	// transfer. The KV-QuietRejoin check pins that, replacing
+	// KV-CrashRestart's zero-transfer clause. Requires CrashRestartAt and
+	// Transfer, and runs on the entry-count stop rule of Transfer.
+	QuietRejoin bool
 
 	// --- WorkKV peer snapshot state transfer -------------------------
 
@@ -417,6 +428,9 @@ func (s Spec) Validate() error {
 	}
 	if s.Work.RestartDelay > 0 && s.Work.CrashRestartAt <= 0 {
 		return fmt.Errorf("scenario %s: RestartDelay without CrashRestartAt has nothing to delay", s.Name)
+	}
+	if s.Work.QuietRejoin && (s.Work.CrashRestartAt <= 0 || !s.Work.Transfer) {
+		return fmt.Errorf("scenario %s: QuietRejoin requires CrashRestartAt and Transfer", s.Name)
 	}
 	if s.Work.CrashRestartAt > 0 && s.Work.RecoverAt > 0 {
 		return fmt.Errorf("scenario %s: CrashRestartAt and RecoverAt both target the lowest-ID correct replica — pick one recovery mode", s.Name)

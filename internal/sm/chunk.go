@@ -41,6 +41,10 @@ const (
 	TransferFormInline = 0
 	// TransferFormManifest marks an EncodeManifest body.
 	TransferFormManifest = 1
+	// TransferFormCatchUp marks a u64 applied-instance frontier followed
+	// by an EncodeTransfer payload whose retained entries run past the
+	// snapshot index up to that frontier (see Transfer.serve).
+	TransferFormCatchUp = 2
 )
 
 // TransferInlineMax is the largest payload served inline (form 0).
@@ -76,7 +80,9 @@ const TransferChunkWindow = 16
 // otherwise retry forever. Abandoning also clears the manifest
 // candidate's corroboration, so restarting the download takes t+1
 // fresh senders — one Byzantine replay of the dead manifest cannot
-// re-pin the fetcher.
+// re-pin the fetcher. A fetch round without a download ends after the
+// same number of firings with no response ahead of the fetcher: the
+// peers have nothing newer to serve.
 const TransferStallLimit = 3
 
 // chunkDigestLen prefixes chunk and ack frames (SHA-256).

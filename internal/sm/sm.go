@@ -24,6 +24,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"sort"
 
 	"repro/internal/log"
 	"repro/internal/obs"
@@ -109,13 +110,16 @@ type Config struct {
 	// (0 = snapshots disabled).
 	SnapshotEvery int
 	// RefreshEvery, when > 0, re-stamps the snapshot every RefreshEvery
-	// applied INSTANCES even if no new entries arrived — the idle-rejoin
-	// fix. A long-idle cluster churns ⊥ instances without entries, so an
-	// entry-cadence snapshot boundary goes stale; a replica restarting
-	// into that cluster installs the stale boundary, ends up more than
-	// MaxLead instances behind, and its transfer requests are declined
-	// ("snapshot not past the requester's boundary") forever. Refreshing
-	// at no-op boundaries keeps a fresh boundary on offer. Determinism is
+	// applied INSTANCES even if no new entries arrived. Instances that
+	// commit nothing new (⊥ decisions, batches whose commands another
+	// instance already committed) still move the applied frontier, so an
+	// entry-cadence snapshot boundary can trail it; a replica restarting
+	// into that cluster installs the stale boundary and may still be
+	// more than MaxLead instances behind, with its transfer requests
+	// declined ("snapshot not past the requester's boundary"). Refreshing
+	// at no-op boundaries keeps a fresh boundary on offer. (An idle
+	// cluster does not move the frontier: the log engine opens instances
+	// only when there is work.) Determinism is
 	// preserved because the refresh instant is a pure function of the
 	// applied instance sequence and the refreshed state is a pure function
 	// of the applied prefix — every correct replica re-stamps byte-
@@ -240,17 +244,19 @@ func (a *Applier) OnCommit(e log.Entry) {
 // snapshot never splits an instance's batch and its covered-instance
 // watermark is exact. With RefreshEvery set, a snapshot is also
 // re-stamped after RefreshEvery instances without an entry-cadence
-// snapshot, keeping the boundary fresh across idle (⊥-churning)
-// stretches; see Config.RefreshEvery.
+// snapshot, keeping the boundary fresh across stretches of no-op
+// instances; see Config.RefreshEvery.
 func (a *Applier) OnApply(i types.Instance, newly int) {
 	if a.poisoned != nil {
 		return
 	}
 	if p := a.cfg.Persist; p != nil {
 		// Every applied instance is marked, entries or not: the mark is
-		// where a durable restart resumes, and resuming below the cluster's
-		// ⊥-churned frontier would strand the replica on instances whose
-		// decisions nobody re-sends. MarkApplied is also the fsync point,
+		// where a durable restart resumes, and resuming below instances
+		// the cluster already applied — no-op ones included — would
+		// strand the replica on instances whose decisions nobody
+		// re-sends. A paced engine opens instances only with work, so an
+		// idle replica marks nothing. MarkApplied is also the fsync point,
 		// sealing the entries this instance appended.
 		if err := p.MarkApplied(i + 1); err != nil {
 			a.poison(fmt.Errorf("sm: persist mark: %w", err))
@@ -297,22 +303,28 @@ func (a *Applier) takeSnapshot(instance types.Instance) {
 		// slice as the log grows.
 		a.snapRetained = append([]log.Entry(nil), a.cfg.RetainedEntries()...)
 	}
-	if p := a.cfg.Persist; p != nil {
-		// The durable stamp is the full transfer payload — snapshot plus
-		// the retained dedup window just captured — so boot can hand it
-		// straight to DecodeTransfer and Install, the exact code path a
-		// live peer-snapshot installation exercises. With the snapshot
-		// durable, the store's entry prefix below it is dead weight.
-		payload := EncodeTransfer(a.snap, a.snapRetained)
-		if err := p.StampSnapshot(a.snap.Index, a.snap.Instance, []byte(payload)); err != nil {
-			a.poison(fmt.Errorf("sm: persist snapshot: %w", err))
-			return
-		}
-		if err := p.TruncatePrefix(a.snap.Index); err != nil {
-			a.poison(fmt.Errorf("sm: persist truncate: %w", err))
-			return
-		}
+	a.persistSnapshot()
+}
+
+// persistSnapshot stamps the current snapshot durably (when Persist is
+// set). The stamp is the full transfer payload — snapshot plus its
+// retained dedup window — so boot can hand it straight to DecodeTransfer
+// and Install, the exact code path a live peer-snapshot installation
+// exercises. With the snapshot durable, the store's entry prefix below it
+// is dead weight and is truncated.
+func (a *Applier) persistSnapshot() error {
+	p := a.cfg.Persist
+	if p == nil {
+		return nil
 	}
+	payload := EncodeTransfer(a.snap, a.snapRetained)
+	if err := p.StampSnapshot(a.snap.Index, a.snap.Instance, []byte(payload)); err != nil {
+		return a.poison(fmt.Errorf("sm: persist snapshot: %w", err))
+	}
+	if err := p.TruncatePrefix(a.snap.Index); err != nil {
+		return a.poison(fmt.Errorf("sm: persist truncate: %w", err))
+	}
+	return nil
 }
 
 // Latest returns the most recent snapshot.
@@ -419,6 +431,12 @@ func (a *Applier) Recover(retained []log.Entry) error {
 // boundary's content-dedup window); the applier keeps it with the
 // installed snapshot so this replica can serve onward transfers itself.
 //
+// With Config.Persist set, the installed snapshot is stamped durably
+// before Install returns, exactly as a locally taken one is, and the
+// store's older entries are truncated: the next entry this replica
+// appends sits past the installed index, and a store still holding an
+// older snapshot would boot into a gap between the two.
+//
 // The caller must realign the ordering layer in the same stroke
 // (log.Engine.InstallSnapshot with s.Instance, s.Index and the same
 // retained suffix) — sm.Transfer does both.
@@ -467,13 +485,70 @@ func (a *Applier) installSnapshot(s Snapshot, retained []log.Entry, boot bool) e
 	a.hasSnap = true
 	if boot {
 		a.boots++
-	} else {
-		a.installs++
-		if m := a.cfg.Metrics; m != nil {
-			m.Installs.Inc()
+		return nil
+	}
+	if err := a.persistSnapshot(); err != nil {
+		return err
+	}
+	a.installs++
+	if m := a.cfg.Metrics; m != nil {
+		m.Installs.Inc()
+	}
+	return nil
+}
+
+// CatchUp applies a peer's catch-up transfer: its latest snapshot s with
+// the retained window captured at it, plus the suffix of entries the
+// peer committed after s, through instance frontier. It is the transfer
+// counterpart of Boot — snapshot, then the entries past it — and leaves
+// the applier exactly where the serving peer is: the same latest
+// snapshot (so snapshot cadence, refreshes and the compaction they drive
+// stay aligned with every correct replica) and the same applied count.
+// A replica that already holds s's prefix (it applied at least s.Index
+// entries) skips the snapshot and applies only the part of the suffix
+// past its own position; total order makes its prefix the peer's.
+//
+// Suffix entries go through OnCommit — write-ahead append, apply,
+// response — as if committed here, and with Config.Persist set the
+// frontier is marked applied, so a later boot resumes from it. The
+// caller validated that the suffix is index-contiguous from s.Index and
+// realigns the ordering layer (log.Engine.InstallSnapshot at frontier).
+func (a *Applier) CatchUp(s Snapshot, window, suffix []log.Entry, frontier types.Instance) error {
+	if a.applied < s.Index {
+		if err := a.installSnapshot(s, window, false); err != nil {
+			return err
+		}
+	}
+	for _, e := range suffix {
+		if e.Index >= a.applied {
+			a.OnCommit(e)
+		}
+	}
+	if a.poisoned != nil {
+		return a.poisoned
+	}
+	if p := a.cfg.Persist; p != nil {
+		if err := p.MarkApplied(frontier); err != nil {
+			return a.poison(fmt.Errorf("sm: persist mark: %w", err))
 		}
 	}
 	return nil
+}
+
+// catchUpSuffix returns the entries applied since the latest snapshot —
+// the suffix a catch-up transfer carries past it — or false when there
+// is no snapshot or the engine's retained entries do not cover it.
+func (a *Applier) catchUpSuffix() ([]log.Entry, bool) {
+	if !a.hasSnap || a.cfg.RetainedEntries == nil {
+		return nil, false
+	}
+	all := a.cfg.RetainedEntries()
+	k := sort.Search(len(all), func(i int) bool { return all[i].Index >= a.snap.Index })
+	suffix := all[k:]
+	if len(suffix) != a.applied-a.snap.Index || (len(suffix) > 0 && suffix[0].Index != a.snap.Index) {
+		return nil, false
+	}
+	return suffix, true
 }
 
 // Installs returns how many peer snapshots Install has applied.

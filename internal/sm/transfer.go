@@ -22,6 +22,10 @@
 //	             per-chunk SHA-256 list (EncodeManifest) — served when
 //	             the payload exceeds TransferInlineMax, which a single
 //	             wire frame could not carry (wire codec v5).
+//	             Form 2 (catch-up): a quiet peer whose latest snapshot
+//	             is not ahead of the requester but whose applied
+//	             frontier is sends that snapshot plus the entries it
+//	             committed since, and the frontier (see serve).
 //	SNAP_ACK   — requester → server: the next chunk range wanted of a
 //	             corroborated manifest's payload. Re-sent (by the retry
 //	             timer) for whatever range is still missing, which is how
@@ -183,8 +187,9 @@ func DecodeTransfer(v types.Value) (s Snapshot, retained []log.Entry, payload [3
 }
 
 // LogControl is the slice of the replicated-log engine Transfer drives:
-// reading the apply/commit position, noticing the engine has closed, and
-// realigning it when a snapshot installs. log.Engine implements it.
+// reading the apply/commit position, noticing the engine has closed or
+// has nothing outstanding, and realigning it when a snapshot installs.
+// log.Engine implements it.
 type LogControl interface {
 	// Applied returns the number of applied instances.
 	Applied() types.Instance
@@ -193,6 +198,11 @@ type LogControl interface {
 	Committed() int
 	// Closed reports whether the engine stopped starting new instances.
 	Closed() bool
+	// Waiting reports whether the engine holds work past its apply point
+	// (an open instance, a peer instance ahead, pending commands). The
+	// stall probe only fires for a waiting engine: a paced engine with
+	// nothing to do legitimately never advances.
+	Waiting() bool
 	// InstallSnapshot jumps the engine to a peer snapshot's boundary,
 	// seeding its retained entries and content dedup from the transfer's
 	// retained suffix.
@@ -216,11 +226,12 @@ type TransferConfig struct {
 	// different positions serve different snapshots until t+1 align.
 	RetryEvery types.Duration
 	// StallProbe is the cadence of the stall detector (default 50ms): if
-	// the engine is open but the apply position has not advanced since
-	// the previous probe, a fetch request goes out even without inbound
-	// MaxLead pressure — the cluster may have finished and gone quiet,
-	// leaving no message stream to trigger on. 0 keeps the default; < 0
-	// disables probing (pressure-only triggering).
+	// the engine is open and waiting for work but the apply position has
+	// not advanced since the previous probe, a fetch request goes out
+	// even without inbound MaxLead pressure — the cluster may have
+	// finished and gone quiet, leaving no message stream to trigger on.
+	// 0 keeps the default; < 0 disables probing (pressure-only
+	// triggering).
 	StallProbe types.Duration
 	// ServeEvery rate-limits responses per requester (default
 	// RetryEvery/2): request spam must not amplify into snapshot floods.
@@ -242,6 +253,7 @@ type Transfer struct {
 
 	fetching    bool
 	fetchFrom   types.Instance // applied position when the fetch started
+	idleRetries int            // retry firings since a response ahead of us arrived
 	cancelRetry func()
 	// candidates accumulates inline responses of the current and past
 	// fetch rounds keyed by digest; senders is the corroboration set.
@@ -269,10 +281,15 @@ type Transfer struct {
 	chRejects int
 }
 
-// candidate is one inline payload digest's corroboration state.
+// candidate is one inline payload digest's corroboration state. A
+// catch-up candidate also carries the entries past the snapshot and the
+// frontier they reach; for a plain snapshot the suffix is empty and the
+// frontier is the snapshot boundary.
 type candidate struct {
 	snap     Snapshot
 	retained []log.Entry
+	suffix   []log.Entry
+	frontier types.Instance
 	senders  map[types.ProcID]struct{}
 }
 
@@ -377,6 +394,14 @@ func (t *Transfer) OnDroppedAhead(i types.Instance) {
 	t.startFetch()
 }
 
+// Fetch starts a fetch round now unless one is in flight: the boot
+// query of a restarted replica. A paced cluster with no clients sends
+// nothing, so a replica that restarts behind it sees neither MaxLead
+// pressure nor a stall; it has to ask. A round that finds no snapshot
+// ahead ends after TransferStallLimit retries (see armRetry), so asking
+// a cluster that is not ahead costs a few requests.
+func (t *Transfer) Fetch() { t.startFetch() }
+
 // startFetch begins a fetch round unless one is already in flight.
 func (t *Transfer) startFetch() {
 	if t.fetching || t.cfg.Log.Closed() {
@@ -384,6 +409,7 @@ func (t *Transfer) startFetch() {
 	}
 	t.fetching = true
 	t.fetchFrom = t.cfg.Log.Applied()
+	t.idleRetries = 0
 	t.request()
 	t.armRetry()
 }
@@ -414,6 +440,13 @@ func (t *Transfer) request() {
 // progress means replay is working after all, and renewed pressure (or a
 // renewed stall) simply starts a fresh fetch.
 //
+// The round also ends when TransferStallLimit consecutive firings pass
+// without a single response ahead of our position: the peers have
+// nothing newer (a quiet cluster at our own boundary declines silently),
+// and re-asking every RetryEvery forever would be a request loop that
+// never ends while the apply position stands still. Renewed pressure or
+// a stall of a waiting engine starts a fresh round.
+//
 // With a chunk download in flight the retry re-acks the first missing
 // range instead of re-broadcasting the request — that is the loss
 // recovery path — and rotates to the next corroborating server first,
@@ -431,6 +464,12 @@ func (t *Transfer) armRetry() {
 			t.dl = nil
 			return
 		}
+		if t.dl == nil {
+			if t.idleRetries++; t.idleRetries >= TransferStallLimit {
+				t.fetching = false
+				return
+			}
+		}
 		if d := t.dl; d != nil {
 			if d.have == d.lastHave {
 				d.stalls++
@@ -440,6 +479,7 @@ func (t *Transfer) armRetry() {
 			if d.stalls >= TransferStallLimit {
 				delete(t.manifests, d.key)
 				t.dl = nil
+				t.idleRetries = 0
 				t.request()
 			} else {
 				d.serverIdx = (d.serverIdx + 1) % len(d.servers)
@@ -452,19 +492,22 @@ func (t *Transfer) armRetry() {
 	})
 }
 
-// probe is the stall detector: when the engine is open but the apply
-// position froze between two probes, ask the cluster for a snapshot even
-// without inbound pressure. This covers the end-game where the peers
-// have finished (and gone quiet) while we still hold an unreachable gap:
-// their FINAL snapshot is the convergence point, and nobody is sending
-// the messages that would otherwise trigger a fetch. The probe re-arms
-// until the engine closes, so an open laggard keeps pulling.
+// probe is the stall detector: when the engine is open and waiting for
+// work but the apply position froze between two probes, ask the cluster
+// for a snapshot even without inbound pressure. This covers the
+// end-game where the peers have finished (and gone quiet) while we
+// still hold an unreachable gap: their FINAL snapshot is the convergence
+// point, and nobody is sending the messages that would otherwise trigger
+// a fetch. An engine with nothing outstanding is idle, not stalled — a
+// paced cluster without clients never advances — so it is left alone.
+// The probe re-arms until the engine closes, so an open laggard keeps
+// pulling.
 func (t *Transfer) probe() {
 	if t.cfg.Log.Closed() {
 		return // converged (or shut down): let the world drain
 	}
 	applied := t.cfg.Log.Applied()
-	if applied == t.lastProbe && !t.fetching {
+	if applied == t.lastProbe && !t.fetching && t.cfg.Log.Waiting() {
 		t.startFetch()
 	}
 	t.lastProbe = applied
@@ -475,20 +518,33 @@ func (t *Transfer) probe() {
 // retained suffix) iff it is ahead of the requester's boundary, at most
 // once per ServeEvery per requester.
 //
-// A long-idle cluster is the degenerate case here: ⊥ instances carry no
-// entries, so the entry-cadence snapshot boundary freezes while applied
-// instances run ahead, and a rejoining replica that already holds that
-// stale boundary would be declined by everyone forever. The fix lives at
-// snapshot-TAKING time, not here: sm.Config.RefreshEvery re-stamps the
-// snapshot at deterministic instance boundaries, so serve always has a
-// fresh boundary to offer while remaining byte-identical across correct
-// replicas (serving a locally re-stamped snapshot from THIS point would
-// break the t+1 corroboration — peers at different positions would offer
-// different bytes).
+// When the snapshot is not ahead but our applied frontier is, and our
+// engine is quiet (nothing open, nothing pending — Log.Waiting is
+// false), we send a catch-up instead: the same snapshot and retained
+// window plus every entry committed since it, and the frontier. A paced
+// cluster goes quiet as soon as its clients do, so without this a
+// replica that missed the last few instances before the quiet would
+// wait for a snapshot that never comes. The caught-up correct replicas
+// of a quiet cluster sit at the same frontier with the same entries, so
+// their catch-ups are byte-identical and corroborate like snapshots
+// (whatever t+1 replicas agree on is a genuine committed prefix); and
+// since the requester ends up holding the same latest snapshot as its
+// peers, snapshot cadence and the compaction it drives stay aligned.
+// Catch-ups are served inline only (up to TransferInlineMax).
+//
+// Neither form re-stamps a snapshot at this replica's current position:
+// a snapshot served is one every correct replica took at the same
+// boundary (entry cadence, or sm.Config.RefreshEvery at deterministic
+// instance boundaries), and a catch-up is only offered while quiet, so
+// copies from correct peers corroborate byte for byte.
 func (t *Transfer) serve(from types.ProcID, reqBoundary types.Instance) {
 	snap, retained, ok := t.cfg.Applier.LatestTransfer()
-	if !ok || snap.Instance <= reqBoundary {
-		return // nothing the requester doesn't already have
+	if !ok {
+		return
+	}
+	catchUp := snap.Instance <= reqBoundary
+	if catchUp && (t.cfg.Log.Applied() <= reqBoundary || t.cfg.Log.Waiting()) {
+		return // nothing the requester doesn't already have, or not quiet
 	}
 	env := t.cfg.Env
 	now := env.Now()
@@ -506,24 +562,46 @@ func (t *Transfer) serve(from types.ProcID, reqBoundary types.Instance) {
 			Aux: fmt.Sprintf("idx=%d inst=%v digest=%x", snap.Index, snap.Instance, snap.Digest[:8]),
 		})
 	}
-	payload := []byte(EncodeTransfer(snap, retained))
 	var val types.Value
-	if len(payload) <= TransferInlineMax {
+	inst := snap.Instance
+	if catchUp {
+		val, inst = t.catchUp(snap, retained), t.cfg.Log.Applied()
+	} else if payload := []byte(EncodeTransfer(snap, retained)); len(payload) <= TransferInlineMax {
 		// Small state: the historical single frame, form-tagged.
 		val = InlineTransfer(types.Value(payload))
-	} else {
-		sc := t.serveChunksFor(snap, payload)
-		if sc == nil {
-			return // beyond even the chunked bound; nothing to offer
-		}
+	} else if sc := t.serveChunksFor(snap, payload); sc != nil {
 		val = sc.manifest
+	}
+	if val == "" {
+		return // a catch-up past the inline bound, or a payload past the chunked one
 	}
 	env.Send(from, proto.Message{
 		Kind:     proto.MsgSnapResponse,
 		Tag:      proto.Tag{Mod: proto.ModSnap},
-		Instance: snap.Instance,
+		Instance: inst,
 		Val:      val,
 	})
+}
+
+// catchUp builds the form-2 SNAP_RESP value: the frontier, then the
+// latest snapshot with its retained window and the entries since it. It
+// returns "" when the engine's retained entries do not cover that suffix
+// or the payload would not fit inline.
+func (t *Transfer) catchUp(snap Snapshot, retained []log.Entry) types.Value {
+	frontier := t.cfg.Log.Applied()
+	suffix, ok := t.cfg.Applier.catchUpSuffix()
+	if !ok {
+		return ""
+	}
+	entries := append(append([]log.Entry(nil), retained...), suffix...)
+	payload := EncodeTransfer(snap, entries)
+	if len(payload) > TransferInlineMax {
+		return ""
+	}
+	buf := make([]byte, 9, 9+len(payload))
+	buf[0] = TransferFormCatchUp
+	binary.LittleEndian.PutUint64(buf[1:], uint64(frontier))
+	return types.Value(append(buf, payload...))
 }
 
 // InlineTransfer form-tags a complete transfer payload as a SNAP_RESP
@@ -635,6 +713,8 @@ func (t *Transfer) consider(from types.ProcID, m proto.Message) {
 		t.considerInline(from, types.Value(b[1:]), m.Instance)
 	case TransferFormManifest:
 		t.considerManifest(from, b[1:], m.Instance)
+	case TransferFormCatchUp:
+		t.considerCatchUp(from, b, m.Instance)
 	default:
 		t.reject()
 	}
@@ -658,17 +738,67 @@ func (t *Transfer) considerInline(from types.ProcID, v types.Value, inst types.I
 	if s.Instance <= t.cfg.Log.Applied() || s.Index < t.cfg.Applier.Applied() {
 		return // stale by the time it arrived; not an offense
 	}
-	c := t.candidates[payload]
+	t.idleRetries = 0
+	t.corroborate(from, payload, &candidate{snap: s, retained: retained, frontier: s.Instance})
+}
+
+// considerCatchUp validates one catch-up response (form 2: frontier,
+// then a transfer payload whose entries run past the snapshot index) and
+// installs once t+1 distinct peers sent byte-identical values. The
+// entries must split into a window ending just below the snapshot index
+// and a suffix contiguous from it, in instance order below the frontier.
+func (t *Transfer) considerCatchUp(from types.ProcID, b []byte, inst types.Instance) {
+	if len(b) < 9 {
+		t.reject()
+		return
+	}
+	frontier := types.Instance(binary.LittleEndian.Uint64(b[1:]))
+	s, entries, _, err := DecodeTransfer(types.Value(b[9:]))
+	if err != nil || frontier != inst || frontier <= s.Instance {
+		t.reject()
+		return
+	}
+	k := 0
+	for k < len(entries) && entries[k].Index < s.Index {
+		k++
+	}
+	window, suffix := entries[:k], entries[k:]
+	prev := s.Instance
+	for j, e := range suffix {
+		if e.Index != s.Index+j || e.Instance < prev || e.Instance >= frontier {
+			t.reject()
+			return
+		}
+		prev = e.Instance
+	}
+	if frontier <= t.cfg.Log.Applied() || s.Index+len(suffix) < t.cfg.Applier.Applied() {
+		return // stale by the time it arrived; not an offense
+	}
+	t.idleRetries = 0
+	c := &candidate{snap: s, retained: window, suffix: suffix, frontier: frontier}
+	t.corroborate(from, sha256.Sum256(b), c)
+}
+
+// corroborate records from as a sender of the candidate keyed by key
+// (fresh is used when the key is new) and installs it at t+1 distinct
+// senders.
+func (t *Transfer) corroborate(from types.ProcID, key [32]byte, fresh *candidate) {
+	c := t.candidates[key]
 	if c == nil {
 		if len(t.candidates) >= maxCandidates {
 			t.candidates = make(map[[32]byte]*candidate)
 			t.reject()
 		}
-		c = &candidate{snap: s, retained: retained, senders: make(map[types.ProcID]struct{})}
-		t.candidates[payload] = c
+		c = fresh
+		c.senders = make(map[types.ProcID]struct{})
+		t.candidates[key] = c
 	}
 	c.senders[from] = struct{}{}
 	if len(c.senders) < t.cfg.Env.Params().T+1 {
+		return
+	}
+	if len(c.suffix) > 0 || c.frontier != c.snap.Instance {
+		t.installCatchUp(c)
 		return
 	}
 	t.install(c.snap, c.retained)
@@ -687,6 +817,7 @@ func (t *Transfer) considerManifest(from types.ProcID, body []byte, inst types.I
 	if mf.Instance <= t.cfg.Log.Applied() || mf.Index < t.cfg.Applier.Applied() {
 		return // stale by the time it arrived; not an offense
 	}
+	t.idleRetries = 0
 	key := sha256.Sum256(body)
 	c := t.manifests[key]
 	if c == nil {
@@ -841,6 +972,16 @@ func (t *Transfer) install(s Snapshot, retained []log.Entry) {
 		t.stopFetch()
 		return
 	}
+	t.installed(s)
+}
+
+// installed finishes a successful install: counters, trace, a clean
+// candidate slate, and a follow-up fetch round. The follow-up matters
+// for a paced cluster: the snapshot just installed may trail the
+// cluster's frontier by instances this replica never saw, and if the
+// cluster has gone quiet nothing else would reveal that; a round that
+// finds nothing ahead ends after TransferStallLimit retries.
+func (t *Transfer) installed(s Snapshot) {
 	t.installs++
 	if m := t.cfg.Metrics; m != nil {
 		m.Installs.Inc()
@@ -861,6 +1002,26 @@ func (t *Transfer) install(s Snapshot, retained []log.Entry) {
 	if t.cfg.OnInstall != nil {
 		t.cfg.OnInstall(s)
 	}
+	t.startFetch()
+}
+
+// installCatchUp commits to a corroborated catch-up: the applier takes
+// the snapshot (if it is behind it) and the suffix, then the ordering
+// layer jumps to the frontier with the whole entry run as its dedup
+// window — exactly the window the serving peers hold.
+func (t *Transfer) installCatchUp(c *candidate) {
+	if err := t.cfg.Applier.CatchUp(c.snap, c.retained, c.suffix, c.frontier); err != nil {
+		t.reject()
+		t.stopFetch()
+		return
+	}
+	entries := append(append([]log.Entry(nil), c.retained...), c.suffix...)
+	if err := t.cfg.Log.InstallSnapshot(c.frontier, c.snap.Index+len(c.suffix), entries); err != nil {
+		t.reject()
+		t.stopFetch()
+		return
+	}
+	t.installed(c.snap)
 }
 
 // reject counts one discarded candidate payload.

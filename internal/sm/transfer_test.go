@@ -2,6 +2,7 @@ package sm
 
 import (
 	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -196,12 +197,14 @@ type fakeLog struct {
 	applied   types.Instance
 	committed int
 	closed    bool
+	idle      bool // Waiting reports !idle
 	installs  []types.Instance
 }
 
 func (f *fakeLog) Applied() types.Instance { return f.applied }
 func (f *fakeLog) Committed() int          { return f.committed }
 func (f *fakeLog) Closed() bool            { return f.closed }
+func (f *fakeLog) Waiting() bool           { return !f.idle }
 func (f *fakeLog) InstallSnapshot(b types.Instance, idx int, retained []log.Entry) error {
 	f.installs = append(f.installs, b)
 	f.applied = b
@@ -410,5 +413,210 @@ func TestTransferIdleRejoinGap(t *testing.T) {
 	}
 	if lg.applied != 19 || rejoinApp.Applied() != 8 {
 		t.Fatalf("rejoiner at (inst=%v, applied=%d), want (19, 8)", lg.applied, rejoinApp.Applied())
+	}
+}
+
+// TestTransferFetchRoundEnds pins the end of a fetch round that finds
+// nothing ahead: after TransferStallLimit retry firings without a
+// response past our position the round stops re-requesting, so a boot
+// query against a quiet cluster at our own boundary costs a few
+// requests instead of one per RetryEvery forever. A response ahead of
+// us keeps the round alive.
+func TestTransferFetchRoundEnds(t *testing.T) {
+	_, s, retained := buildSnapshot(t, 8)
+	app, err := New(Config{Machine: kv.NewStore()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, env, _ := newTestTransfer(t, app, &fakeLog{idle: true})
+	tr.Fetch()
+	if tr.Requests() != 1 || len(env.timers) != 2 {
+		t.Fatalf("fetch: requests=%d timers=%d", tr.Requests(), len(env.timers))
+	}
+	fireLast := func() { env.timers[len(env.timers)-1]() }
+	fireLast()
+	fireLast()
+	// One peer serves a snapshot ahead (t+1 = 2 are needed to install):
+	// the round has found something and must not give up yet.
+	tr.OnMessage(2, proto.Message{
+		Kind: proto.MsgSnapResponse, Tag: proto.Tag{Mod: proto.ModSnap},
+		Instance: s.Instance, Val: InlineTransfer(EncodeTransfer(s, retained)),
+	})
+	for i := 1; i < TransferStallLimit; i++ {
+		fireLast()
+	}
+	if want := 1 + 2 + TransferStallLimit - 1; tr.Requests() != want {
+		t.Fatalf("requests=%d after a response ahead, want %d", tr.Requests(), want)
+	}
+	timers := len(env.timers)
+	fireLast() // the TransferStallLimit-th idle firing ends the round
+	if len(env.timers) != timers {
+		t.Fatal("round re-armed its retry after the stall limit")
+	}
+	requests := tr.Requests()
+	// A new round can start.
+	tr.Fetch()
+	if tr.Requests() != requests+1 {
+		t.Fatalf("second Fetch sent %d requests", tr.Requests()-requests)
+	}
+}
+
+// TestTransferProbeSkipsIdleEngine: a paced engine with no work never
+// advances, and that is not a stall — the probe must not turn a quiet
+// replica into a request loop. The same frozen position with work
+// outstanding is a stall.
+func TestTransferProbeSkipsIdleEngine(t *testing.T) {
+	app, err := New(Config{Machine: kv.NewStore()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg := &fakeLog{applied: 5, idle: true}
+	tr, env, _ := newTestTransfer(t, app, lg)
+	probe := func() { env.timers[len(env.timers)-1]() }
+	probe() // records the position
+	probe()
+	probe()
+	if tr.Requests() != 0 {
+		t.Fatalf("idle engine probed into %d requests", tr.Requests())
+	}
+	lg.idle = false
+	probe()
+	if tr.Requests() != 1 {
+		t.Fatalf("stalled engine with work: requests=%d, want 1", tr.Requests())
+	}
+}
+
+// catchUpPeer builds a replica that snapshotted at 8 entries (instance
+// boundary 4) and then committed 3 more entries through instance 5, so
+// its applied frontier (6) runs past its latest snapshot.
+func catchUpPeer(t *testing.T) (*Applier, *fakeLog) {
+	t.Helper()
+	var entries []log.Entry
+	a, err := New(Config{
+		Machine: kv.NewStore(), SnapshotEvery: 8,
+		RetainedEntries: func() []log.Entry { return entries },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 11; i++ {
+		cmd := kv.Command{Op: kv.OpPut, Client: 1, Seq: uint64(i + 1), Key: fmt.Sprintf("k%d", i%3), Val: fmt.Sprint(i)}
+		e := log.Entry{Index: i, Instance: types.Instance(i / 2), Cmd: cmd.Encode()}
+		entries = append(entries, e)
+		a.OnCommit(e)
+		if i%2 == 1 || i == 10 {
+			a.OnApply(e.Instance, 0)
+		}
+	}
+	if s, ok := a.Latest(); !ok || s.Index != 8 || s.Instance != 4 {
+		t.Fatalf("peer snapshot: %+v", s)
+	}
+	return a, &fakeLog{applied: 6, committed: 11, idle: true}
+}
+
+// TestTransferServesCatchUpWhenQuiet: a quiet replica whose latest
+// snapshot is not ahead of the requester, but whose frontier is, serves
+// the snapshot plus the entries since it (form 2); a busy one, or one
+// not ahead, declines.
+func TestTransferServesCatchUpWhenQuiet(t *testing.T) {
+	peer, lg := catchUpPeer(t)
+	tr, env, _ := newTestTransfer(t, peer, lg)
+	req := func(from types.ProcID, boundary types.Instance) {
+		env.now += types.Time(time1s)
+		tr.OnMessage(from, proto.Message{Kind: proto.MsgSnapRequest, Tag: proto.Tag{Mod: proto.ModSnap}, Instance: boundary})
+	}
+	lg.idle = false
+	req(2, 4)
+	if len(env.sent) != 0 {
+		t.Fatal("busy replica served a catch-up")
+	}
+	lg.idle = true
+	req(2, 6)
+	if len(env.sent) != 0 {
+		t.Fatal("served a requester already at our frontier")
+	}
+	req(2, 4)
+	if len(env.sent) != 1 {
+		t.Fatalf("quiet replica ahead of the requester sent %d responses", len(env.sent))
+	}
+	m := env.sent[0].m
+	if m.Instance != 6 || len(m.Val) == 0 || m.Val[0] != TransferFormCatchUp {
+		t.Fatalf("catch-up response: instance %v form %v", m.Instance, m.Val[0])
+	}
+	// A requester behind the snapshot still gets the plain snapshot.
+	req(3, 2)
+	if got := env.sent[1].m; got.Instance != 4 || got.Val[0] != TransferFormInline {
+		t.Fatalf("requester behind the snapshot: instance %v form %v", got.Instance, got.Val[0])
+	}
+}
+
+// TestTransferInstallsCatchUp: t+1 identical catch-ups bring a replica
+// to the serving peer's exact position — state, applied count, latest
+// snapshot, frontier — whether it starts from nothing or already holds
+// the snapshot's prefix. A catch-up with a gap in its suffix is refused.
+func TestTransferInstallsCatchUp(t *testing.T) {
+	peer, lg := catchUpPeer(t)
+	ptr, penv, _ := newTestTransfer(t, peer, lg)
+	ptr.OnMessage(9, proto.Message{Kind: proto.MsgSnapRequest, Tag: proto.Tag{Mod: proto.ModSnap}, Instance: 4})
+	resp := penv.sent[0].m
+	snap, _ := peer.Latest()
+	for _, tc := range []struct {
+		name    string
+		prefix  bool // the replica installed the snapshot already
+		applied types.Instance
+	}{{"from nothing", false, 0}, {"holding the snapshot", true, 4}} {
+		t.Run(tc.name, func(t *testing.T) {
+			app, err := New(Config{Machine: kv.NewStore(), SnapshotEvery: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lagLog := &fakeLog{applied: tc.applied}
+			if tc.prefix {
+				_, retained, _ := peer.LatestTransfer()
+				if err := app.Install(snap, retained); err != nil {
+					t.Fatal(err)
+				}
+				lagLog.committed = snap.Index
+			}
+			tr, _, _ := newTestTransfer(t, app, lagLog)
+			tr.OnMessage(2, resp)
+			if tr.Installs() != 0 {
+				t.Fatal("installed on one sender")
+			}
+			tr.OnMessage(3, resp)
+			if tr.Installs() != 1 || tr.Rejected() != 0 {
+				t.Fatalf("installs=%d rejected=%d", tr.Installs(), tr.Rejected())
+			}
+			if app.Applied() != peer.Applied() || app.StateDigest() != peer.StateDigest() {
+				t.Fatalf("caught up to %d entries (state %x), peer at %d (%x)",
+					app.Applied(), app.StateDigest(), peer.Applied(), peer.StateDigest())
+			}
+			if got, _ := app.Latest(); got.Digest != snap.Digest {
+				t.Fatal("latest snapshot differs from the peer's: snapshot cadence would drift")
+			}
+			if len(lagLog.installs) != 1 || lagLog.installs[0] != 6 || lagLog.committed != 11 {
+				t.Fatalf("log realigned to %v with %d committed, want frontier 6 and 11", lagLog.installs, lagLog.committed)
+			}
+		})
+	}
+
+	// A suffix entry with the wrong index: refused, never installed.
+	s, entries, _, err := DecodeTransfer(types.Value(resp.Val[9:]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries[len(entries)-1].Index++
+	forged := append([]byte(nil), resp.Val[:9]...)
+	forged = append(forged, EncodeTransfer(s, entries)...)
+	app, err := New(Config{Machine: kv.NewStore()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, _, _ := newTestTransfer(t, app, &fakeLog{})
+	for _, from := range []types.ProcID{2, 3} {
+		tr.OnMessage(from, proto.Message{Kind: proto.MsgSnapResponse, Tag: proto.Tag{Mod: proto.ModSnap}, Instance: 6, Val: types.Value(forged)})
+	}
+	if tr.Installs() != 0 || tr.Rejected() != 2 {
+		t.Fatalf("gapped catch-up: installs=%d rejected=%d", tr.Installs(), tr.Rejected())
 	}
 }

@@ -162,10 +162,9 @@ func (f *File) AppendEntry(e log.Entry) error {
 // the durability point — after it returns, every entry appended before
 // it survives a crash. Marks for boundaries that seal no new entries
 // skip the fsync (losing such a mark in a crash only makes the restart
-// resume a few empty instances earlier), which keeps an idle ⊥-churning
-// replica from paying one disk flush per empty instance; a long idle
-// stretch of marks is folded away by a WAL rewrite once it outgrows
-// rewriteSlack records.
+// resume a few empty instances earlier), which keeps a run of no-op
+// instances from paying one disk flush each; a long stretch of marks is
+// folded away by a WAL rewrite once it outgrows rewriteSlack records.
 func (f *File) MarkApplied(boundary types.Instance) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
